@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"strings"
@@ -494,11 +491,6 @@ func (n *Node) expireFlows(now int64, scratch []expiredFlow) []expiredFlow {
 
 // ---- serving ----
 
-const (
-	readBufSize         = 4096
-	writeFlushThreshold = 16 * 1024
-)
-
 // ServeClients accepts client-plane connections until ln closes. It always
 // returns a non-nil error (net.ErrClosed after a clean shutdown).
 func (n *Node) ServeClients(ln net.Listener) error {
@@ -520,11 +512,8 @@ func (n *Node) HandleClientConn(nc net.Conn) {
 	n.cconns[c] = struct{}{}
 	n.cmu.Unlock()
 	n.trackInbound(nc)
-	n.serveConn(nc, func(f resv.Frame, now int64) resv.Frame {
-		return n.dispatchClient(c, f, now)
-	}, func(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame {
-		return append(out, n.dispatchClientBatch(c, ops, now))
-	})
+	resv.ServeFrames(nc, &clientConn{nodeConn: nodeConn{n: n}, c: c})
+	_ = nc.Close()
 	n.untrackInbound(nc)
 	n.cmu.Lock()
 	delete(n.cconns, c)
@@ -539,12 +528,8 @@ func (n *Node) HandleClientConn(nc net.Conn) {
 func (n *Node) HandlePeerConn(nc net.Conn) {
 	sess := newPeerSess(len(n.links))
 	n.trackInbound(nc)
-	n.serveConn(nc, func(f resv.Frame, now int64) resv.Frame {
-		return n.dispatchPeer(sess, f, now)
-	}, func(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame {
-		out = append(out, n.dispatchPeerBatch(sess, ops, now))
-		return n.appendReplyGossip(sess, out)
-	})
+	resv.ServeFrames(nc, &peerConn{nodeConn: nodeConn{n: n}, sess: sess})
+	_ = nc.Close()
 	n.untrackInbound(nc)
 	now := n.nowNanos()
 	for _, wireID := range sess.drain() {
@@ -566,97 +551,55 @@ func (n *Node) untrackInbound(nc net.Conn) {
 	n.imu.Unlock()
 }
 
-// serveConn is the shared batched frame loop (the resv serving idiom):
-// decode every complete frame one read buffered, dispatch, coalesce the
-// replies into one write, flush on idle. Gossip frames produce no reply
-// (dispatch returns the zero Frame). batch, when non-nil, serves a
-// collected MsgReserveBatch body — it appends its reply frames (the
-// verdict bitmap, plus any piggybacked gossip) to out.
-func (n *Node) serveConn(nc net.Conn, dispatch func(resv.Frame, int64) resv.Frame, batch func(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame) {
-	defer func() { _ = nc.Close() }()
-	br := bufio.NewReaderSize(nc, readBufSize)
-	wbuf := make([]byte, 0, 1024)
-	var frames, replies []resv.Frame
-	var bc resv.BatchCollector
-	for {
-		if _, err := br.Peek(resv.FrameSize); err != nil {
-			if n.Logf != nil && !(errors.Is(err, io.EOF) && br.Buffered() == 0) && !errors.Is(err, net.ErrClosed) {
-				n.logf("cluster %s: connection %v closed: %v", n.name, nc.RemoteAddr(), err)
-			}
-			return
-		}
-		data, _ := br.Peek(br.Buffered())
-		var rest []byte
-		var derr error
-		frames, rest, derr = resv.DecodeFrames(frames[:0], data)
-		if _, err := br.Discard(len(data) - len(rest)); err != nil {
-			return
-		}
-		t0 := time.Now()
-		now := n.nowNanos()
-		for _, f := range frames {
-			var reply resv.Frame
-			switch {
-			case bc.Active():
-				done, berr := bc.Add(f)
-				if berr != nil {
-					// The batch body broke off; fail it and serve the
-					// offending frame on its own, like the resv server.
-					n.metrics.Errors.Inc()
-					wbuf = resv.AppendFrame(wbuf, resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)})
-					reply = dispatch(f, now)
-				} else if done {
-					replies = batch(bc.Ops(), now, replies[:0])
-					for _, r := range replies {
-						wbuf = resv.AppendFrame(wbuf, r)
-					}
-					if len(wbuf) >= writeFlushThreshold && !n.flush(nc, &wbuf) {
-						return
-					}
-					continue
-				} else {
-					continue
-				}
-			case f.Type == resv.MsgReserveBatch && batch != nil:
-				if berr := bc.Begin(f); berr != nil {
-					n.metrics.Errors.Inc()
-					reply = resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
-				} else {
-					continue
-				}
-			default:
-				reply = dispatch(f, now)
-			}
-			if reply.Type == 0 {
-				continue
-			}
-			wbuf = resv.AppendFrame(wbuf, reply)
-			if len(wbuf) >= writeFlushThreshold {
-				if !n.flush(nc, &wbuf) {
-					return
-				}
-			}
-		}
-		if len(frames) > 0 {
-			n.metrics.RequestNS.RecordN(uint64(time.Since(t0))/uint64(len(frames)), uint64(len(frames)))
-		}
-		if !n.flush(nc, &wbuf) {
-			return
-		}
-		if derr != nil {
-			n.logf("cluster %s: connection %v closed: %v", n.name, nc.RemoteAddr(), derr)
-			return
-		}
+// nodeConn is the per-read half of both planes' resv.FrameHandler: it
+// stamps the node clock once per read (every frame of the read is served
+// at that instant) and records the read's batch-amortized service time.
+type nodeConn struct {
+	n   *Node
+	now int64
+}
+
+func (h *nodeConn) BeginRead(t0 time.Time) { h.now = int64(t0.Sub(h.n.epoch)) }
+
+func (h *nodeConn) EndRead(frames, framingErrs int, elapsed time.Duration) {
+	if framingErrs > 0 {
+		h.n.metrics.Errors.Add(uint64(framingErrs))
+	}
+	if frames > 0 {
+		h.n.metrics.RequestNS.RecordN(uint64(elapsed)/uint64(frames), uint64(frames))
 	}
 }
 
-func (n *Node) flush(nc net.Conn, wbuf *[]byte) bool {
-	if len(*wbuf) == 0 {
-		return true
+func (h *nodeConn) Logf(format string, args ...interface{}) {
+	if h.n.Logf != nil {
+		h.n.Logf("cluster %s: "+format, append([]interface{}{h.n.name}, args...)...)
 	}
-	_, err := nc.Write(*wbuf)
-	*wbuf = (*wbuf)[:0]
-	return err == nil
+}
+
+// clientConn serves the client plane: path reservations over one cconn.
+type clientConn struct {
+	nodeConn
+	c *cconn
+}
+
+func (h *clientConn) ServeFrame(f resv.Frame) resv.Frame { return h.n.dispatchClient(h.c, f, h.now) }
+
+func (h *clientConn) ServeBatch(ops []resv.Frame, wbuf []byte) []byte {
+	return resv.AppendFrame(wbuf, h.n.dispatchClientBatch(h.c, ops, h.now))
+}
+
+// peerConn serves the peer plane: link hops claimed by one peer session.
+// Batch replies piggyback the session's pending occupancy gossip.
+type peerConn struct {
+	nodeConn
+	sess *peerSess
+}
+
+func (h *peerConn) ServeFrame(f resv.Frame) resv.Frame { return h.n.dispatchPeer(h.sess, f, h.now) }
+
+func (h *peerConn) ServeBatch(ops []resv.Frame, wbuf []byte) []byte {
+	wbuf = resv.AppendFrame(wbuf, h.n.dispatchPeerBatch(h.sess, ops, h.now))
+	return h.n.appendReplyGossip(h.sess, wbuf)
 }
 
 // rollbackConn releases every installed path flow of a departing client
@@ -1325,7 +1268,7 @@ func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) re
 // carry the freshest load signal straight back to the entry node whose
 // burst just changed it, so the two-choice router sharpens under batched
 // load instead of staling until the next anti-entropy tick.
-func (n *Node) appendReplyGossip(sess *peerSess, out []resv.Frame) []resv.Frame {
+func (n *Node) appendReplyGossip(sess *peerSess, wbuf []byte) []byte {
 	for li, ls := range n.links {
 		a := ls.pol.Active()
 		if sess.lastGossip[li] == a {
@@ -1333,14 +1276,14 @@ func (n *Node) appendReplyGossip(sess *peerSess, out []resv.Frame) []resv.Frame 
 		}
 		sess.lastGossip[li] = a
 		v := n.gossipSeq.Add(1)
-		out = append(out, resv.Frame{
+		wbuf = resv.AppendFrame(wbuf, resv.Frame{
 			Type:   resv.MsgGossip,
 			FlowID: uint64(ls.link.Index)<<idxShift | v&keyMask,
 			Value:  float64(a),
 		})
 		n.metrics.GossipOut.Inc()
 	}
-	return out
+	return wbuf
 }
 
 // localLink resolves a peer-plane FlowID's link index to local state, nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
@@ -22,6 +21,8 @@ import (
 // idempotent, and a teardown answered "unknown flow" after a retransmit
 // means an earlier flight already succeeded.
 type Client struct {
+	clientOps
+
 	mu sync.Mutex
 	nc net.Conn
 	// wbuf/rbuf are the frame scratch buffers, guarded by mu. A stack
@@ -41,9 +42,6 @@ type Client struct {
 	// swept — a stale DENY or GRANT for a re-requested flow ID would be
 	// indistinguishable from the new answer. Guarded by mu.
 	udpStale bool
-	// metrics, if non-nil, observes every round trip (atomics-only; a set
-	// may be shared across clients). Install with SetMetrics before use.
-	metrics *ClientMetrics
 }
 
 // UDPConfig tunes the datagram transport's request-level retransmit.
@@ -80,7 +78,9 @@ func Dial(ctx context.Context, network, addr string) (*Client, error) {
 
 // NewClient wraps an established connection (e.g. one end of a net.Pipe).
 func NewClient(nc net.Conn) *Client {
-	return &Client{nc: nc}
+	c := &Client{nc: nc}
+	c.t = c
+	return c
 }
 
 // DialUDP connects to a resv server's datagram endpoint. The connection is
@@ -101,16 +101,14 @@ func DialUDP(ctx context.Context, addr string, cfg UDPConfig) (*Client, error) {
 // transport's retransmit protocol.
 func NewUDPClient(nc net.Conn, cfg UDPConfig) *Client {
 	cfg = cfg.withDefaults()
-	return &Client{nc: nc, udp: &cfg}
+	c := &Client{nc: nc, udp: &cfg}
+	c.t = c
+	return c
 }
 
 // Close tears down the connection; the server releases all reservations
 // held through it.
 func (c *Client) Close() error { return c.nc.Close() }
-
-// SetMetrics installs a client instrument set (see NewClientMetrics); nil
-// disables instrumentation. Not safe to call concurrently with requests.
-func (c *Client) SetMetrics(m *ClientMetrics) { c.metrics = m }
 
 // writeFrame and readFrame are WriteFrame/ReadFrame through the client's
 // scratch buffers. Callers hold c.mu.
@@ -324,42 +322,6 @@ func udpReplyMatches(req, reply Frame) bool {
 	}
 }
 
-// Reserve requests a reservation for flowID with the given bandwidth
-// demand. It reports whether the reservation was granted, and the granted
-// share when it was.
-func (c *Client) Reserve(ctx context.Context, flowID uint64, bandwidth float64) (granted bool, share float64, err error) {
-	granted, share, _, err = c.reserve(ctx, flowID, bandwidth, 0)
-	return granted, share, err
-}
-
-// ReserveClass is Reserve with an admission class (policy.ClassStandard /
-// ClassCritical / ClassSheddable), carried in the request frame's class
-// bits. Class 0 requests are byte-identical to Reserve; class-unaware
-// servers (and policies) ignore the bits.
-func (c *Client) ReserveClass(ctx context.Context, flowID uint64, bandwidth float64, class uint8) (granted bool, share float64, err error) {
-	granted, share, _, err = c.reserve(ctx, flowID, bandwidth, class)
-	return granted, share, err
-}
-
-// reserve is Reserve plus a sent indicator: when the request hit the wire
-// but the reply was lost, the server may hold a grant the caller never saw.
-func (c *Client) reserve(ctx context.Context, flowID uint64, bandwidth float64, class uint8) (granted bool, share float64, sent bool, err error) {
-	reply, sent, err := c.roundTrip(ctx, Frame{Type: MsgRequest, Class: class, FlowID: flowID, Value: bandwidth})
-	if err != nil {
-		return false, 0, sent, err
-	}
-	switch reply.Type {
-	case MsgGrant:
-		return true, reply.Value, true, nil
-	case MsgDeny:
-		return false, 0, true, nil
-	case MsgError:
-		return false, 0, true, fmt.Errorf("resv: reserve flow %d: server error code %d", flowID, uint64(reply.Value))
-	default:
-		return false, 0, true, fmt.Errorf("resv: reserve flow %d: unexpected %s reply", flowID, reply.Type)
-	}
-}
-
 // ReserveBatch ships up to MaxBatch reservation ops — MsgRequest and
 // MsgTeardown frames, processed by the server strictly in order — as one
 // multi-reserve frame sequence and one reply: a single round trip where N
@@ -368,8 +330,8 @@ func (c *Client) reserve(ctx context.Context, flowID uint64, bandwidth float64, 
 // bandwidth mode. Stream transports only: the datagram transport has no
 // retransmit story for partially-applied batches, so it refuses.
 func (c *Client) ReserveBatch(ctx context.Context, ops []Frame) (BatchVerdict, float64, error) {
-	if len(ops) < 1 || len(ops) > MaxBatch {
-		return 0, 0, fmt.Errorf("resv: batch of %d ops (want 1..%d)", len(ops), MaxBatch)
+	if err := checkBatchLen(len(ops)); err != nil {
+		return 0, 0, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -408,47 +370,14 @@ func (c *Client) ReserveBatch(ctx context.Context, ops []Frame) (BatchVerdict, f
 	if err != nil {
 		return fail(fmt.Errorf("resv: awaiting batch reply: %w", err))
 	}
-	if reply.Type != MsgReserveBatchReply {
-		return fail(fmt.Errorf("resv: batch reserve: unexpected %s reply", reply.Type))
+	v, share, err := batchReply(reply)
+	if err != nil {
+		return fail(err)
 	}
-	v := BatchVerdict(reply.FlowID)
 	if c.metrics != nil {
 		c.metrics.observeBatch(ops, v, time.Since(t0), nil)
 	}
-	return v, reply.Value, nil
-}
-
-// Teardown releases flowID's reservation.
-func (c *Client) Teardown(ctx context.Context, flowID uint64) error {
-	reply, _, err := c.roundTrip(ctx, Frame{Type: MsgTeardown, FlowID: flowID})
-	if err != nil {
-		return err
-	}
-	switch reply.Type {
-	case MsgTeardownOK:
-		return nil
-	case MsgError:
-		return fmt.Errorf("resv: teardown flow %d: server error code %d", flowID, uint64(reply.Value))
-	default:
-		return fmt.Errorf("resv: teardown flow %d: unexpected %s reply", flowID, reply.Type)
-	}
-}
-
-// Refresh renews flowID's soft-state deadline on a TTL server. It returns
-// the server's TTL (0 when the server never expires reservations).
-func (c *Client) Refresh(ctx context.Context, flowID uint64) (ttl time.Duration, err error) {
-	reply, _, err := c.roundTrip(ctx, Frame{Type: MsgRefresh, FlowID: flowID})
-	if err != nil {
-		return 0, err
-	}
-	switch reply.Type {
-	case MsgRefreshOK:
-		return time.Duration(reply.Value * float64(time.Second)), nil
-	case MsgError:
-		return 0, fmt.Errorf("resv: refresh flow %d: server error code %d", flowID, uint64(reply.Value))
-	default:
-		return 0, fmt.Errorf("resv: refresh flow %d: unexpected %s reply", flowID, reply.Type)
-	}
+	return v, share, nil
 }
 
 // KeepAlive refreshes flowID at the given interval until ctx is canceled
@@ -489,113 +418,10 @@ func (c *Client) KeepAlive(ctx context.Context, flowID uint64, interval time.Dur
 	}
 }
 
-// Stats returns the server's admission threshold and active reservation
-// count.
-func (c *Client) Stats(ctx context.Context) (kmax, active int, err error) {
-	reply, _, err := c.roundTrip(ctx, Frame{Type: MsgStats})
-	if err != nil {
-		return 0, 0, err
-	}
-	return statsFromReply(reply)
-}
-
-// RetryPolicy governs ReserveWithRetry, mirroring the paper's §5.2
-// retrying extension: a denied request waits and tries again, at a utility
-// cost per retry that the caller accounts separately.
-type RetryPolicy struct {
-	// MaxAttempts bounds total attempts (≥ 1).
-	MaxAttempts int
-	// BaseDelay is the wait before the first retry.
-	BaseDelay time.Duration
-	// Multiplier scales the delay after each attempt (≥ 1).
-	Multiplier float64
-	// Jitter, in [0, 1], randomizes each delay by ±Jitter·delay to avoid
-	// synchronized retry storms. 0 means no jitter.
-	Jitter float64
-	// Rand, if non-nil, supplies the jitter draws (uniform in [0, 1)), so
-	// harnesses can seed the backoff sequence and reproduce a run exactly;
-	// nil falls back to the process-global generator. Ignored when Jitter
-	// is 0.
-	Rand func() float64
-}
-
-// jittered randomizes one backoff delay by ±Jitter·d, drawing from the
-// policy's injected generator or the process-global one. Both retrying
-// clients (Client and MuxClient) funnel their waits through it.
-func (p RetryPolicy) jittered(d time.Duration) time.Duration {
-	if p.Jitter <= 0 || d <= 0 {
-		return d
-	}
-	r := p.Rand
-	if r == nil {
-		r = rand.Float64
-	}
-	return time.Duration(float64(d) * (1 + p.Jitter*(2*r()-1)))
-}
-
-// Validate checks the policy.
-func (p RetryPolicy) Validate() error {
-	if p.MaxAttempts < 1 {
-		return fmt.Errorf("resv: retry policy needs MaxAttempts ≥ 1, got %d", p.MaxAttempts)
-	}
-	if p.BaseDelay < 0 || p.Multiplier < 1 || p.Jitter < 0 || p.Jitter > 1 {
-		return fmt.Errorf("resv: invalid retry policy {MaxAttempts:%d BaseDelay:%v Multiplier:%g Jitter:%g}",
-			p.MaxAttempts, p.BaseDelay, p.Multiplier, p.Jitter)
-	}
-	return nil
-}
-
-// ReserveWithRetry requests a reservation, retrying denials per the policy
-// until granted, the attempts are exhausted, or the context expires. It
-// returns the granted share and the number of retries performed (0 when
-// the first attempt succeeded). When all attempts are denied it returns
-// granted = false with a nil error.
-func (c *Client) ReserveWithRetry(ctx context.Context, flowID uint64, bandwidth float64, policy RetryPolicy) (granted bool, share float64, retries int, err error) {
-	if err := policy.Validate(); err != nil {
-		return false, 0, 0, err
-	}
-	delay := policy.BaseDelay
-	for attempt := 1; ; attempt++ {
-		ok, sh, sent, err := c.reserve(ctx, flowID, bandwidth, 0)
-		if err != nil {
-			if sent {
-				// The request reached the wire but its reply did not come
-				// back (timeout, connection drop). The server may hold the
-				// grant while we report failure — release it rather than
-				// leak a reservation nobody will use or tear down.
-				c.teardownBestEffort(flowID)
-			}
-			return false, 0, attempt - 1, err
-		}
-		if ok {
-			return true, sh, attempt - 1, nil
-		}
-		if attempt >= policy.MaxAttempts {
-			return false, 0, attempt - 1, nil
-		}
-		if c.metrics != nil {
-			c.metrics.Retries.Inc()
-		}
-		d := policy.jittered(delay)
-		select {
-		case <-ctx.Done():
-			return false, 0, attempt - 1, ctx.Err()
-		case <-time.After(d):
-		}
-		delay = time.Duration(float64(delay) * policy.Multiplier)
-	}
-}
-
-// bestEffortTeardownTimeout bounds how long a post-failure cleanup may
-// occupy the connection.
-const bestEffortTeardownTimeout = time.Second
-
 // teardownBestEffort tries to release flowID after a transport failure left
-// the reservation state unknown. The reply stream may still hold a stale
-// reply to the failed request, so it drains frames until the teardown's own
-// reply arrives (or the deadline passes). Errors are deliberately swallowed:
-// the connection is already suspect, and closing it remains the backstop
-// that releases everything.
+// the reservation state unknown. On a stream the reply stream may still
+// hold a stale reply to the failed request, so it drains frames until the
+// teardown's own reply arrives (or the deadline passes).
 func (c *Client) teardownBestEffort(flowID uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

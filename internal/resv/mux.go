@@ -63,8 +63,9 @@ type muxBatch struct {
 // requests from different goroutines coalesce into shared batched writes.
 // At most one request may be in flight per flow ID at a time.
 type MuxClient struct {
-	nc      net.Conn
-	metrics *ClientMetrics
+	clientOps
+
+	nc net.Conn
 
 	mu      sync.Mutex
 	pending map[uint64]*muxCall // in-flight flow-scoped requests
@@ -105,6 +106,7 @@ func NewMuxClient(nc net.Conn) *MuxClient {
 		return &muxCall{done: make(chan struct{}, 1)}
 	}
 	m.batchPool.New = func() interface{} { return new(muxBatch) }
+	m.t = m
 	m.wg.Add(2)
 	go m.writer()
 	go m.reader()
@@ -121,10 +123,6 @@ func DialMux(ctx context.Context, network, addr string) (*MuxClient, error) {
 	}
 	return NewMuxClient(nc), nil
 }
-
-// SetMetrics installs a client instrument set (see NewClientMetrics); nil
-// disables instrumentation. Not safe to call concurrently with requests.
-func (m *MuxClient) SetMetrics(cm *ClientMetrics) { m.metrics = cm }
 
 // Close tears down the connection and fails every in-flight request; the
 // server releases all reservations held through the connection.
@@ -275,9 +273,10 @@ func popFIFO(q *[]*muxCall, pool *sync.Pool) *muxCall {
 }
 
 // roundTrip registers a call, queues the frame, and waits for its reply or
-// the context. The zero-loss fast path — register, channel send, channel
-// receive, recycle — allocates nothing.
-func (m *MuxClient) roundTrip(ctx context.Context, req Frame) (Frame, error) {
+// the context. The request counts as sent once the frame is handed to the
+// writer: from then on the server may act on it. The zero-loss fast path —
+// register, channel send, channel receive, recycle — allocates nothing.
+func (m *MuxClient) roundTrip(ctx context.Context, req Frame) (Frame, bool, error) {
 	call := m.pool.Get().(*muxCall)
 	call.reply, call.err = Frame{}, nil
 	var t0 time.Time
@@ -291,7 +290,7 @@ func (m *MuxClient) roundTrip(ctx context.Context, req Frame) (Frame, error) {
 		err := m.err
 		m.mu.Unlock()
 		m.pool.Put(call)
-		return Frame{}, fmt.Errorf("resv: mux: client closed: %w", err)
+		return Frame{}, false, fmt.Errorf("resv: mux: client closed: %w", err)
 	}
 	if stats {
 		m.statsq = append(m.statsq, call)
@@ -299,7 +298,7 @@ func (m *MuxClient) roundTrip(ctx context.Context, req Frame) (Frame, error) {
 		if _, dup := m.pending[req.FlowID]; dup {
 			m.mu.Unlock()
 			m.pool.Put(call)
-			return Frame{}, fmt.Errorf("resv: mux: flow %d already has a request in flight", req.FlowID)
+			return Frame{}, false, fmt.Errorf("resv: mux: flow %d already has a request in flight", req.FlowID)
 		}
 		m.pending[req.FlowID] = call
 	}
@@ -310,29 +309,42 @@ func (m *MuxClient) roundTrip(ctx context.Context, req Frame) (Frame, error) {
 	case <-m.dead:
 		// fail already delivered the error into the call.
 		<-call.done
-		return m.finish(req, call, t0)
+		reply, err := m.finish(req, call, t0)
+		return reply, false, err
 	case <-ctx.Done():
 		// The frame never reached sendq: no reply will come, so the
 		// registration can be withdrawn outright (for stats, the FIFO slot
 		// must go too — nothing will consume it).
 		m.withdraw(req, call, stats)
-		return Frame{}, ctx.Err()
+		return Frame{}, false, ctx.Err()
 	}
 
 	select {
 	case <-call.done:
-		return m.finish(req, call, t0)
+		reply, err := m.finish(req, call, t0)
+		return reply, true, err
 	case <-ctx.Done():
 		if m.abandon(req, call, stats) {
 			if m.metrics != nil {
 				m.metrics.observe(req, Frame{}, 0, ctx.Err())
 			}
-			return Frame{}, ctx.Err()
+			return Frame{}, true, ctx.Err()
 		}
 		// Delivery raced the cancellation; the reply is here — use it.
 		<-call.done
-		return m.finish(req, call, t0)
+		reply, err := m.finish(req, call, t0)
+		return reply, true, err
 	}
+}
+
+// teardownBestEffort sends a teardown for flowID under a short deadline
+// and ignores the outcome. A late reply to the failed request carries the
+// same flow ID and may be taken as the teardown's answer; the teardown
+// frame goes out either way, which is all the cleanup needs.
+func (m *MuxClient) teardownBestEffort(flowID uint64) {
+	ctx, cancel := context.WithTimeout(context.Background(), bestEffortTeardownTimeout)
+	defer cancel()
+	_, _, _ = m.roundTrip(ctx, Frame{Type: MsgTeardown, FlowID: flowID})
 }
 
 // Post queues a frame for the next batched write without registering a
@@ -377,8 +389,8 @@ func (m *MuxClient) OnGossip(h func(Frame)) { m.onGossip = h }
 // caller may reuse it freely.
 func (m *MuxClient) ReserveBatch(ctx context.Context, ops []Frame) (BatchVerdict, float64, error) {
 	n := len(ops)
-	if n < 1 || n > MaxBatch {
-		return 0, 0, fmt.Errorf("resv: mux: batch of %d ops outside [1, %d]", n, MaxBatch)
+	if err := checkBatchLen(n); err != nil {
+		return 0, 0, err
 	}
 	call := m.pool.Get().(*muxCall)
 	call.reply, call.err = Frame{}, nil
@@ -446,20 +458,15 @@ func (m *MuxClient) ReserveBatch(ctx context.Context, ops []Frame) (BatchVerdict
 func (m *MuxClient) finishBatch(ops []Frame, call *muxCall, t0 time.Time) (BatchVerdict, float64, error) {
 	reply, err := call.reply, call.err
 	m.pool.Put(call)
-	if err == nil && reply.Type != MsgReserveBatchReply {
-		err = fmt.Errorf("resv: mux: unexpected %s reply to a batch", reply.Type)
-	}
-	v := BatchVerdict(reply.FlowID)
-	if err != nil {
-		v = 0
+	var v BatchVerdict
+	var share float64
+	if err == nil {
+		v, share, err = batchReply(reply)
 	}
 	if m.metrics != nil {
 		m.metrics.observeBatch(ops, v, time.Since(t0), err)
 	}
-	if err != nil {
-		return 0, 0, err
-	}
-	return v, reply.Value, nil
+	return v, share, err
 }
 
 // withdrawBatch removes a batch call whose frames were never sent. Caller
@@ -549,117 +556,4 @@ func (m *MuxClient) abandon(req Frame, call *muxCall, stats bool) bool {
 		return true
 	}
 	return false
-}
-
-// Reserve requests a reservation for flowID with the given bandwidth
-// demand. It reports whether the reservation was granted, and the granted
-// share when it was. Reservations live until torn down, expired by the
-// server's TTL, or the MuxClient's connection closes.
-func (m *MuxClient) Reserve(ctx context.Context, flowID uint64, bandwidth float64) (granted bool, share float64, err error) {
-	return m.ReserveClass(ctx, flowID, bandwidth, 0)
-}
-
-// ReserveClass is Reserve with an admission class (policy.ClassStandard /
-// ClassCritical / ClassSheddable), carried in the request frame's class
-// bits. Class 0 requests are byte-identical to Reserve.
-func (m *MuxClient) ReserveClass(ctx context.Context, flowID uint64, bandwidth float64, class uint8) (granted bool, share float64, err error) {
-	reply, err := m.roundTrip(ctx, Frame{Type: MsgRequest, Class: class, FlowID: flowID, Value: bandwidth})
-	if err != nil {
-		return false, 0, err
-	}
-	switch reply.Type {
-	case MsgGrant:
-		return true, reply.Value, nil
-	case MsgDeny:
-		return false, 0, nil
-	case MsgError:
-		return false, 0, fmt.Errorf("resv: reserve flow %d: server error code %d", flowID, uint64(reply.Value))
-	default:
-		return false, 0, fmt.Errorf("resv: reserve flow %d: unexpected %s reply", flowID, reply.Type)
-	}
-}
-
-// Teardown releases flowID's reservation.
-func (m *MuxClient) Teardown(ctx context.Context, flowID uint64) error {
-	reply, err := m.roundTrip(ctx, Frame{Type: MsgTeardown, FlowID: flowID})
-	if err != nil {
-		return err
-	}
-	switch reply.Type {
-	case MsgTeardownOK:
-		return nil
-	case MsgError:
-		return fmt.Errorf("resv: teardown flow %d: server error code %d", flowID, uint64(reply.Value))
-	default:
-		return fmt.Errorf("resv: teardown flow %d: unexpected %s reply", flowID, reply.Type)
-	}
-}
-
-// Refresh renews flowID's soft-state deadline on a TTL server. It returns
-// the server's TTL (0 when the server never expires reservations).
-func (m *MuxClient) Refresh(ctx context.Context, flowID uint64) (ttl time.Duration, err error) {
-	reply, err := m.roundTrip(ctx, Frame{Type: MsgRefresh, FlowID: flowID})
-	if err != nil {
-		return 0, err
-	}
-	switch reply.Type {
-	case MsgRefreshOK:
-		return time.Duration(reply.Value * float64(time.Second)), nil
-	case MsgError:
-		return 0, fmt.Errorf("resv: refresh flow %d: server error code %d", flowID, uint64(reply.Value))
-	default:
-		return 0, fmt.Errorf("resv: refresh flow %d: unexpected %s reply", flowID, reply.Type)
-	}
-}
-
-// Stats returns the server's admission threshold and active reservation
-// count.
-func (m *MuxClient) Stats(ctx context.Context) (kmax, active int, err error) {
-	reply, err := m.roundTrip(ctx, Frame{Type: MsgStats})
-	if err != nil {
-		return 0, 0, err
-	}
-	return statsFromReply(reply)
-}
-
-// ReserveWithRetry requests a reservation, retrying denials per the policy
-// until granted, the attempts are exhausted, or the context expires — the
-// MuxClient counterpart of Client.ReserveWithRetry, sharing its semantics:
-// all attempts denied returns granted = false with a nil error, and an
-// attempt that fails after its request may have reached the server tears
-// the flow down rather than leak a grant nobody saw.
-func (m *MuxClient) ReserveWithRetry(ctx context.Context, flowID uint64, bandwidth float64, policy RetryPolicy) (granted bool, share float64, retries int, err error) {
-	if err := policy.Validate(); err != nil {
-		return false, 0, 0, err
-	}
-	delay := policy.BaseDelay
-	for attempt := 1; ; attempt++ {
-		ok, sh, err := m.Reserve(ctx, flowID, bandwidth)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The request may have been sent and granted after the
-				// waiter left. Best-effort release, as with Client.
-				tctx, cancel := context.WithTimeout(context.Background(), bestEffortTeardownTimeout)
-				_ = m.Teardown(tctx, flowID)
-				cancel()
-			}
-			return false, 0, attempt - 1, err
-		}
-		if ok {
-			return true, sh, attempt - 1, nil
-		}
-		if attempt >= policy.MaxAttempts {
-			return false, 0, attempt - 1, nil
-		}
-		if m.metrics != nil {
-			m.metrics.Retries.Inc()
-		}
-		d := policy.jittered(delay)
-		select {
-		case <-ctx.Done():
-			return false, 0, attempt - 1, ctx.Err()
-		case <-time.After(d):
-		}
-		delay = time.Duration(float64(delay) * policy.Multiplier)
-	}
 }

@@ -250,21 +250,50 @@ func gatedProxy(t *testing.T, s *Server) net.Conn {
 	return cliConn
 }
 
+// TestReserveWithRetryReleasesLeakedGrant runs the in-doubt-grant cleanup
+// over every transport: the request reaches the server (which grants it)
+// but the reply never reaches the caller in time, so the call fails — and
+// the shared retry loop must tear the flow down rather than leak the slot.
 func TestReserveWithRetryReleasesLeakedGrant(t *testing.T) {
-	s := newServer(t, 2)
-	c := NewClient(gatedProxy(t, s))
-	short, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	// The request reaches the server (which grants it), but the reply is
-	// held past the deadline: the client sees a transport error.
-	ok, _, _, err := c.ReserveWithRetry(short, 7, 1, RetryPolicy{MaxAttempts: 1, Multiplier: 1})
-	if ok {
-		t.Fatal("reply was gated; reservation should not appear granted")
+	type retrier interface {
+		ReserveWithRetry(ctx context.Context, flowID uint64, bandwidth float64, policy RetryPolicy) (bool, float64, int, error)
 	}
-	if err == nil {
-		t.Fatal("expected a transport error")
+	cases := []struct {
+		name string
+		dial func(t *testing.T, s *Server) retrier
+	}{
+		{"client-pipe", func(t *testing.T, s *Server) retrier {
+			return NewClient(gatedProxy(t, s))
+		}},
+		{"mux", func(t *testing.T, s *Server) retrier {
+			mc := NewMuxClient(gatedProxy(t, s))
+			t.Cleanup(func() { _ = mc.Close() })
+			return mc
+		}},
+		{"client-udp", func(t *testing.T, s *Server) retrier {
+			cl, fc := dialUDPTest(t, startUDPServer(t, s), fastUDP)
+			// Every grant is lost on the way back; the teardown's reply
+			// is not.
+			fc.recvDrop = func(f Frame) bool { return f.Type == MsgGrant }
+			return cl
+		}},
 	}
-	// The fix sends a best-effort teardown for the in-doubt flow; pre-fix,
-	// the grant leaked and the slot stayed occupied forever.
-	waitActive(t, s, 0)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t, 2)
+			c := tc.dial(t, s)
+			short, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			ok, _, _, err := c.ReserveWithRetry(short, 7, 1, RetryPolicy{MaxAttempts: 1, Multiplier: 1})
+			if ok {
+				t.Fatal("reply was withheld; reservation should not appear granted")
+			}
+			if err == nil {
+				t.Fatal("expected a transport error")
+			}
+			// Without the best-effort teardown for the in-doubt flow, the
+			// grant leaks and the slot stays occupied forever.
+			waitActive(t, s, 0)
+		})
+	}
 }

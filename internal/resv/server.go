@@ -406,20 +406,78 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// handle runs one connection's read→dispatch→reply loop with batched frame
-// I/O: every complete frame buffered by one read is decoded and served,
-// and the replies coalesce into a single write issued when the batch is
-// done (flush-on-idle) or the reply buffer fills. The steady-state
-// reserve→grant path allocates nothing.
+// handle serves one stream connection through the shared frame loop and
+// releases its reservations when the loop returns.
 func (s *Server) handle(nc net.Conn) {
-	c := &conn{nc: nc, flows: make(map[uint64]struct{})}
-	defer s.release(c)
+	h := &streamConn{s: s, conn: conn{nc: nc, flows: make(map[uint64]struct{})}}
+	defer s.release(&h.conn)
 	s.metrics.Connections.Inc()
 	defer s.metrics.Connections.Dec()
+	ServeFrames(nc, h)
+}
+
+// streamConn is a stream connection's FrameHandler: the server's dispatch
+// over one conn, with outcomes tallied per read and flushed to the shared
+// instruments as one set of atomic adds.
+type streamConn struct {
+	s    *Server
+	conn conn
+	bs   batchStats
+}
+
+func (h *streamConn) BeginRead(time.Time) {}
+
+func (h *streamConn) ServeFrame(f Frame) Frame { return h.s.dispatch(&h.conn, f, &h.bs) }
+
+func (h *streamConn) ServeBatch(ops []Frame, wbuf []byte) []byte {
+	return AppendFrame(wbuf, h.s.dispatchBatch(&h.conn, ops, &h.bs))
+}
+
+func (h *streamConn) EndRead(frames, framingErrs int, elapsed time.Duration) {
+	h.bs.errs += uint64(framingErrs)
+	h.s.metrics.flushBatch(&h.bs, frames, elapsed)
+}
+
+func (h *streamConn) Logf(format string, args ...interface{}) {
+	if h.s.Logf != nil {
+		h.s.Logf("resv: "+format, args...)
+	}
+}
+
+// FrameHandler is the per-connection logic ServeFrames drives. The resv
+// server and both cluster planes implement it; the loop owns the framing,
+// the batch collector and the reply buffer.
+type FrameHandler interface {
+	// BeginRead is called once per read, before the read's frames are
+	// served, with the clock stamp the read's service time is measured
+	// from.
+	BeginRead(t0 time.Time)
+	// ServeFrame serves one frame outside a batch body. A reply with a
+	// zero Type is not sent (one-way frames such as MsgGossip).
+	ServeFrame(f Frame) Frame
+	// ServeBatch serves one completed MsgReserveBatch body and appends
+	// its encoded reply frames to wbuf.
+	ServeBatch(ops []Frame, wbuf []byte) []byte
+	// EndRead is called once per read after its frames were served — also
+	// when a reply write failed part-way through them — with the number of
+	// frames the read decoded, the batch-framing errors answered among
+	// them, and the time since BeginRead's stamp.
+	EndRead(frames, framingErrs int, elapsed time.Duration)
+	// Logf logs a connection-level event (an abnormal close or a failed
+	// write).
+	Logf(format string, args ...interface{})
+}
+
+// ServeFrames runs one stream connection's read→dispatch→reply loop with
+// batched frame I/O: every complete frame buffered by one read is decoded
+// and served, and the replies coalesce into a single write issued when the
+// read is done (flush-on-idle) or the reply buffer fills. The loop itself
+// allocates nothing per frame. It returns when the connection fails or
+// closes, without closing nc.
+func ServeFrames(nc net.Conn, h FrameHandler) {
 	br := bufio.NewReaderSize(nc, readBufSize)
 	wbuf := make([]byte, 0, 1024)
 	var frames []Frame
-	var bs batchStats
 	var bc BatchCollector
 	for {
 		// Block until at least one full frame is buffered.
@@ -428,8 +486,8 @@ func (s *Server) handle(nc net.Conn) {
 			// peer and net.ErrClosed a local shutdown — neither is an
 			// error. Anything else (including a connection cut mid-frame,
 			// leaving a partial frame buffered) is logged.
-			if s.Logf != nil && !(errors.Is(err, io.EOF) && br.Buffered() == 0) && !errors.Is(err, net.ErrClosed) {
-				s.logf("resv: connection %v closed: %v", nc.RemoteAddr(), err)
+			if !(errors.Is(err, io.EOF) && br.Buffered() == 0) && !errors.Is(err, net.ErrClosed) {
+				h.Logf("connection %v closed: %v", nc.RemoteAddr(), err)
 			}
 			return
 		}
@@ -440,15 +498,13 @@ func (s *Server) handle(nc net.Conn) {
 		if _, err := br.Discard(len(data) - len(rest)); err != nil {
 			return
 		}
-		// Instrumentation is batch-granular: outcomes tally into plain
-		// locals and flush as one set of atomic adds per batch; the two
-		// clock reads amortize over every frame the batch coalesced.
 		t0 := time.Now()
+		h.BeginRead(t0)
+		framingErrs := 0
 		for _, f := range frames {
 			// A batch body may span read boundaries, so the collector is
 			// per-connection state: the header opens it, body frames fill
-			// it, and only a completed body dispatches (as one vectored
-			// admission answered by one bitmap reply).
+			// it, and only a completed body dispatches.
 			var reply Frame
 			switch {
 			case bc.Active():
@@ -458,53 +514,53 @@ func (s *Server) handle(nc net.Conn) {
 					// fails as a whole and the offending frame is then
 					// served on its own terms.
 					wbuf = AppendFrame(wbuf, Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)})
-					bs.errs++
-					reply = s.dispatch(c, f, &bs)
+					framingErrs++
+					reply = h.ServeFrame(f)
 				} else if done {
-					reply = s.dispatchBatch(c, bc.Ops(), &bs)
+					wbuf = h.ServeBatch(bc.Ops(), wbuf)
 				} else {
 					continue
 				}
 			case f.Type == MsgReserveBatch:
 				if berr := bc.Begin(f); berr != nil {
 					reply = Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)}
-					bs.errs++
+					framingErrs++
 				} else {
 					continue
 				}
 			default:
-				reply = s.dispatch(c, f, &bs)
+				reply = h.ServeFrame(f)
 			}
-			wbuf = AppendFrame(wbuf, reply)
-			if len(wbuf) >= writeFlushThreshold {
-				if !s.flush(nc, &wbuf) {
-					s.metrics.flushBatch(&bs, len(frames), time.Since(t0))
-					return
-				}
+			if reply.Type != 0 {
+				wbuf = AppendFrame(wbuf, reply)
+			}
+			if len(wbuf) >= writeFlushThreshold && !flushReplies(nc, &wbuf, h) {
+				h.EndRead(len(frames), framingErrs, time.Since(t0))
+				return
 			}
 		}
-		s.metrics.flushBatch(&bs, len(frames), time.Since(t0))
-		// Flush-on-idle: the decoded batch is fully served and the next
+		h.EndRead(len(frames), framingErrs, time.Since(t0))
+		// Flush-on-idle: the decoded read is fully served and the next
 		// read may block, so everything coalesced so far goes out now.
-		if !s.flush(nc, &wbuf) {
+		if !flushReplies(nc, &wbuf, h) {
 			return
 		}
 		if derr != nil {
-			s.logf("resv: connection %v closed: %v", nc.RemoteAddr(), derr)
+			h.Logf("connection %v closed: %v", nc.RemoteAddr(), derr)
 			return
 		}
 	}
 }
 
-// flush writes the coalesced replies in one syscall.
-func (s *Server) flush(nc net.Conn, wbuf *[]byte) bool {
+// flushReplies writes the coalesced replies in one syscall.
+func flushReplies(nc net.Conn, wbuf *[]byte, h FrameHandler) bool {
 	if len(*wbuf) == 0 {
 		return true
 	}
 	_, err := nc.Write(*wbuf)
 	*wbuf = (*wbuf)[:0]
 	if err != nil {
-		s.logf("resv: write to %v failed: %v", nc.RemoteAddr(), err)
+		h.Logf("write to %v failed: %v", nc.RemoteAddr(), err)
 		return false
 	}
 	return true
