@@ -1,65 +1,29 @@
 package cluster
 
 import (
-	"sync"
-
 	"beqos/internal/policy"
 	"beqos/internal/resv"
 )
 
-// linkState is one locally-owned link: the admission policy that bounds it
-// and the claim table that makes every admission releasable exactly once.
-// The policy's CAS-bounded counters are the no-over-admit guarantee —
-// concurrent claims (from this node's entry flows and from every peer
-// forwarding hops here) race on the same atomics the single-link serving
-// plane uses. The claim table is the bookkeeping around the decision:
-// which hop keys hold slots, who owns them (an inbound peer connection, or
-// this node's own entry plane), and when they expire.
+// linkState is one locally-owned link and the admission policy that
+// bounds it. The policy's CAS-bounded counters are the no-over-admit
+// guarantee — concurrent claims (from this node's entry flows and from
+// every peer forwarding hops here) race on the same atomics the
+// single-link serving plane uses. The claims themselves live in the node's
+// soft-state table (Node.claims), keyed by wire ID, whose release funnel
+// returns each one to this policy exactly once.
 type linkState struct {
 	link  Link
 	bound int
 	pol   policy.Policy
-	// needsClock mirrors resv's polClock: the default counting policy is
-	// clockless and must not pay a time read per admission.
-	needsClock bool
-
-	mu     sync.Mutex
-	claims map[uint64]*claim
-	free   *claim
-	// expired is sweep scratch, reused across ticks.
-	expired []*claim
-}
-
-// claim is one admitted hop on this link. Claims are recycled through the
-// free list so the steady-state admit path allocates nothing.
-type claim struct {
-	key   uint64
-	owner *peerSess // inbound peer connection, nil for entry-local claims
-	rate  float64
-	// deadline is the expiry instant in node-monotonic nanoseconds; 0
-	// means the claim never expires (no cluster TTL).
-	deadline int64
-	next     *claim
 }
 
 func newLinkState(l Link, bound int) (*linkState, error) {
-	counting, err := policy.NewCounting(l.Capacity, bound)
+	pol, err := policy.NewCounting(l.Capacity, bound)
 	if err != nil {
 		return nil, err
 	}
-	var pol policy.Policy = counting
-	ls := &linkState{link: l, bound: bound, pol: pol, claims: make(map[uint64]*claim)}
-	if cu, ok := pol.(policy.ClockUser); ok && cu.NeedsClock() {
-		ls.needsClock = true
-	}
-	return ls, nil
-}
-
-func (ls *linkState) polNow(now int64) int64 {
-	if ls.needsClock {
-		return now
-	}
-	return 0
+	return &linkState{link: l, bound: bound, pol: pol}, nil
 }
 
 // admitStatus is admit's verdict beyond the policy's own decision.
@@ -71,147 +35,48 @@ const (
 	admitDuplicate
 )
 
-// admit claims one hop on the link: the policy decides (lock-free deny),
-// the claim table records. A duplicate hop key rolls the policy claim back
-// and leaves all state untouched — hop keys are minted per admission by
-// entry nodes, so a duplicate is a protocol error, not a retransmit.
-func (ls *linkState) admit(now int64, key uint64, rate float64, class uint8, owner *peerSess, deadline int64) (policy.Decision, admitStatus) {
-	dec := ls.pol.Admit(ls.polNow(now), key, rate, class)
+// admit claims one hop on local link ls under its wire ID (linkIdx<<48 |
+// hopKey): the policy decides (lock-free deny), the claim table records. A
+// duplicate wire ID rolls the policy claim back and leaves all state
+// untouched — hop keys are minted per admission by entry nodes, so a
+// duplicate is a protocol error, not a retransmit.
+func (n *Node) admit(ls *linkState, now int64, wireID uint64, rate float64, class uint8, owner *resv.Owner) (policy.Decision, admitStatus) {
+	dec := ls.pol.Admit(now, wireID&keyMask, rate, class)
 	if !dec.Admit {
 		return dec, admitDenied
 	}
-	ls.mu.Lock()
-	if _, dup := ls.claims[key]; dup {
-		ls.mu.Unlock()
-		ls.pol.Release(ls.polNow(now), rate)
+	if _, _, ok := n.claims.Install(wireID, owner, rate, nil); !ok {
+		ls.pol.Release(now, rate)
 		return dec, admitDuplicate
 	}
-	c := ls.free
-	if c != nil {
-		ls.free = c.next
-		c.next = nil
-	} else {
-		c = new(claim)
-	}
-	c.key, c.owner, c.rate, c.deadline = key, owner, rate, deadline
-	ls.claims[key] = c
-	if owner != nil {
-		owner.track(uint64(ls.link.Index)<<idxShift | key)
-	}
-	ls.mu.Unlock()
 	return dec, admitGranted
 }
 
-// admitN claims one run of batched hops on the link — identical rate and
-// class, distinct hop keys — with a single vectored policy claim and one
-// claim-table pass. The policy grants a prefix (exact at the kmax
-// boundary); installed ops get their bit set in verdict at base+i. A
-// duplicate hop key inside the granted prefix returns its single policy
-// claim and keeps its bit clear, exactly like the unbatched duplicate
-// path.
-func (ls *linkState) admitN(now int64, frames []resv.Frame, owner *peerSess, deadline int64, base int, verdict *resv.BatchVerdict) (installed int, dec policy.Decision) {
+// admitRun claims one run of batched hops on local link ls — identical
+// rate and class, distinct wire IDs — with a single vectored policy claim.
+// The policy grants a prefix (exact at the kmax boundary); installed ops
+// get their bit set in verdict at base+i. A duplicate wire ID inside the
+// granted prefix returns its single policy claim and keeps its bit clear,
+// exactly like the unbatched duplicate path.
+func (n *Node) admitRun(ls *linkState, now int64, frames []resv.Frame, owner *resv.Owner, base int, verdict *resv.BatchVerdict) (installed int, dec policy.Decision) {
 	rate, class := frames[0].Value, frames[0].Class
-	pnow := ls.polNow(now)
-	granted, dec := policy.AdmitBatch(ls.pol, pnow, frames[0].FlowID&keyMask, rate, class, len(frames))
-	if granted == 0 {
-		return 0, dec
-	}
-	ls.mu.Lock()
+	granted, dec := policy.AdmitBatch(ls.pol, now, frames[0].FlowID&keyMask, rate, class, len(frames))
 	for i := 0; i < granted; i++ {
-		key := frames[i].FlowID & keyMask
-		if _, dup := ls.claims[key]; dup {
-			ls.pol.Release(pnow, rate)
+		if _, _, ok := n.claims.Install(frames[i].FlowID, owner, rate, nil); !ok {
+			ls.pol.Release(now, rate)
 			continue
-		}
-		c := ls.free
-		if c != nil {
-			ls.free = c.next
-			c.next = nil
-		} else {
-			c = new(claim)
-		}
-		c.key, c.owner, c.rate, c.deadline = key, owner, rate, deadline
-		ls.claims[key] = c
-		if owner != nil {
-			owner.track(uint64(ls.link.Index)<<idxShift | key)
 		}
 		*verdict |= 1 << uint(base+i)
 		installed++
 	}
-	ls.mu.Unlock()
 	return installed, dec
 }
 
-// release returns the hop's claim to the policy. It reports false when no
-// claim holds the key — already released, expired, or never admitted — so
-// every racing release path (teardown, rollback, connection drop, TTL)
-// composes to exactly one policy release per admission.
-func (ls *linkState) release(now int64, key uint64) bool {
-	ls.mu.Lock()
-	c, ok := ls.claims[key]
-	if !ok {
-		ls.mu.Unlock()
-		return false
-	}
-	delete(ls.claims, key)
-	if c.owner != nil {
-		c.owner.untrack(uint64(ls.link.Index)<<idxShift | key)
-	}
-	rate := c.rate
-	c.owner = nil
-	c.next = ls.free
-	ls.free = c
-	ls.pol.Release(ls.polNow(now), rate)
-	ls.mu.Unlock()
-	return true
-}
-
-// refresh renews the claim's deadline; it reports whether the claim lives.
-func (ls *linkState) refresh(key uint64, deadline int64) bool {
-	ls.mu.Lock()
-	c, ok := ls.claims[key]
-	if ok {
-		c.deadline = deadline
-	}
-	ls.mu.Unlock()
-	return ok
-}
-
-// expire releases every claim whose deadline has passed and returns how
-// many went. The scan is proportional to the live claims on this link —
-// the cluster plane's TTL is a correctness backstop (crashed entry nodes,
-// partitioned peers), not a per-request hot path, so it trades the resv
-// plane's timing wheels for simplicity.
-func (ls *linkState) expire(now int64) int {
-	ls.mu.Lock()
-	ls.expired = ls.expired[:0]
-	for _, c := range ls.claims {
-		if c.deadline != 0 && c.deadline <= now {
-			ls.expired = append(ls.expired, c)
-		}
-	}
-	for _, c := range ls.expired {
-		delete(ls.claims, c.key)
-		if c.owner != nil {
-			c.owner.untrack(uint64(ls.link.Index)<<idxShift | c.key)
-		}
-		ls.pol.Release(ls.polNow(now), c.rate)
-		c.owner = nil
-		c.next = ls.free
-		ls.free = c
-	}
-	n := len(ls.expired)
-	ls.mu.Unlock()
-	return n
-}
-
-// peerSess tracks the claims an inbound peer connection owns, so dropping
+// peerSess is one inbound peer connection: the claims it owns, so dropping
 // the connection (a crashed or partitioned entry node) releases them
-// without waiting for the TTL backstop. IDs are wire hop IDs
-// (linkIdx<<48 | hopKey).
+// without waiting for the TTL.
 type peerSess struct {
-	mu     sync.Mutex
-	claims map[uint64]struct{}
+	own resv.Owner
 	// lastGossip is the last active count piggybacked on a batch reply to
 	// this connection, per local link (indexed like Node.links, -1 = never
 	// sent). Only the serving goroutine touches it, so no lock.
@@ -219,34 +84,9 @@ type peerSess struct {
 }
 
 func newPeerSess(nlinks int) *peerSess {
-	s := &peerSess{claims: make(map[uint64]struct{}), lastGossip: make([]int64, nlinks)}
+	s := &peerSess{lastGossip: make([]int64, nlinks)}
 	for i := range s.lastGossip {
 		s.lastGossip[i] = -1
 	}
 	return s
-}
-
-func (p *peerSess) track(wireID uint64) {
-	p.mu.Lock()
-	p.claims[wireID] = struct{}{}
-	p.mu.Unlock()
-}
-
-func (p *peerSess) untrack(wireID uint64) {
-	p.mu.Lock()
-	delete(p.claims, wireID)
-	p.mu.Unlock()
-}
-
-// drain snapshots and clears the tracked set — the connection is gone, so
-// nothing races new claims onto it.
-func (p *peerSess) drain() []uint64 {
-	p.mu.Lock()
-	ids := make([]uint64, 0, len(p.claims))
-	for id := range p.claims {
-		ids = append(ids, id)
-	}
-	p.claims = make(map[uint64]struct{})
-	p.mu.Unlock()
-	return ids
 }

@@ -26,6 +26,7 @@ import (
 	"net"
 	"os"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -75,17 +76,19 @@ type Config struct {
 	// Duration is the measured horizon and Warmup the excluded prefix
 	// (default 5·Hold), in virtual time units. The run also pre-fills the
 	// link with round(k̄) flows at time zero so warmup starts near
-	// stationarity.
+	// stationarity. These four fields describe a stationary scenario —
+	// Poisson arrivals, exponential holding — that the run compiles into a
+	// one-phase workload spec and drives exactly like Workload.
 	Duration float64
 	Warmup   float64
 
 	// Workload, when non-nil, drives the run from a declarative scenario
-	// (internal/workload) instead of the stationary Poisson pump:
-	// arrivals, holding times, prefill, phases and per-flow wire classes
-	// all come from the scenario's deterministic stream, seeded from
-	// Seed1/Seed2. Rate, Hold, Duration and Warmup must be zero (the
-	// scenario defines them); Class still applies when the scenario has
-	// no class mixture. Results gain per-phase breakdowns (Result.Phases).
+	// (internal/workload) instead of the stationary one above: arrivals,
+	// holding times, prefill, phases and per-flow wire classes all come
+	// from the scenario's deterministic stream, seeded from Seed1/Seed2.
+	// Rate, Hold, Duration and Warmup must be zero (the scenario defines
+	// them); Class still applies when the scenario has no class mixture.
+	// Results gain per-phase breakdowns (Result.Phases).
 	Workload *workload.Scenario
 	// WorkloadRecord, when non-nil, observes every consumed workload
 	// record in stream order — the golden-determinism trace hook.
@@ -156,6 +159,9 @@ type Config struct {
 	Batch int
 }
 
+// withDefaults validates the configuration and fills in defaults; a
+// stationary configuration's Workload becomes the scenario compiled from
+// Rate/Hold/Duration/Warmup.
 func (cfg *Config) withDefaults() (Config, error) {
 	c := *cfg
 	if c.Server == nil && c.Addr == "" {
@@ -201,6 +207,10 @@ func (cfg *Config) withDefaults() (Config, error) {
 		}
 		if c.Warmup == 0 {
 			c.Warmup = 5 * c.Hold
+		}
+		var err error
+		if c.Workload, err = stationary(c.Rate, c.Hold, c.Warmup, c.Duration); err != nil {
+			return c, err
 		}
 	}
 	if c.Conns == 0 {
@@ -252,6 +262,26 @@ func (cfg *Config) withDefaults() (Config, error) {
 		}
 	}
 	return c, nil
+}
+
+// stationary compiles the stationary configuration into a one-phase
+// workload: round(rate·hold) prefilled flows, then Poisson arrivals at rate
+// with exponential holding times of mean hold for warmup+duration. Floats
+// are written in their shortest exact form, so the spec carries the
+// configured values bit for bit, and the stream draws in the order the
+// stationary pump always did (TestWorkloadBaselineBitForBit). The spec is
+// parsed without the text grammar's size bounds: the harness accepted
+// stationary configurations beyond them (a prefill above MaxPrefill, say)
+// before it compiled them to specs, and still runs them.
+func stationary(rate, hold, warmup, duration float64) (*workload.Scenario, error) {
+	g := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	scn, err := workload.ParseUnbounded(fmt.Sprintf(
+		"scenario stationary\nprefill %d\nwarmup %s\nphase steady %s\narrivals poisson rate=%s\nholding exp mean=%s\n",
+		int(rate*hold+0.5), g(warmup), g(warmup+duration), g(rate), g(hold)))
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: stationary configuration: %w", err)
+	}
+	return scn, nil
 }
 
 // Result reports one run's measurements. All statistics are deterministic
@@ -429,7 +459,6 @@ func (lc *lossyConn) Read(b []byte) (int, error) {
 type runner struct {
 	cfg   Config
 	eng   *sim.Engine
-	src   *rng.Source
 	eps   []*endpoint
 	share float64 // expected grant share C/kmax
 
@@ -471,9 +500,9 @@ type runner struct {
 	occ      []float64
 	peak     int
 
-	// Workload-mode state: the scenario stream, its one-record lookahead
-	// (so simultaneous records group into one virtual instant), and the
-	// per-phase accumulators.
+	// The scenario stream, its one-record lookahead (so simultaneous
+	// records group into one virtual instant), and the per-phase
+	// accumulators (nil unless the caller set Config.Workload).
 	wl     *workload.Stream
 	wlNext workload.Flow
 	wlOK   bool
@@ -493,7 +522,6 @@ func Run(cfg Config) (*Result, error) {
 	r := &runner{
 		cfg:      c,
 		eng:      sim.NewEngine(),
-		src:      rng.New(c.Seed1, c.Seed2),
 		time:     make([]float64, batches),
 		overload: make([]float64, batches),
 		popInt:   make([]float64, batches),
@@ -537,48 +565,19 @@ func Run(cfg Config) (*Result, error) {
 		r.piTimes[n] = float64(n) * c.Util.Eval(c.Capacity/float64(n))
 	}
 
-	if c.Workload != nil {
-		// Scenario-driven dynamics: the stream owns all randomness. The
-		// t=0 group (prefill plus any zero-time arrivals) lands before the
-		// event loop starts, exactly like the stationary pre-fill.
-		r.wl = c.Workload.Stream(c.Seed1, c.Seed2)
+	// The stream owns all randomness. The t=0 group (prefill plus any
+	// zero-time arrivals) lands before the event loop starts, so warmup
+	// starts near the stationary regime.
+	r.wl = c.Workload.Stream(c.Seed1, c.Seed2)
+	if cfg.Workload != nil {
 		r.phases = make([]phaseAccum, len(c.Workload.Phases))
-		r.pull()
-		r.arriveGroup(r.takeGroup(0))
-		if r.err != nil {
-			return nil, r.err
-		}
-		r.pumpWorkload()
-	} else {
-		arr, err := sim.NewPoissonArrivals(c.Rate)
-		if err != nil {
-			return nil, err
-		}
-		hold, err := sim.NewExpHolding(c.Hold)
-		if err != nil {
-			return nil, err
-		}
-
-		// Pre-fill the link with round(k̄) flows so warmup starts near the
-		// stationary regime (exponential holding is memoryless, so a fresh
-		// holding time is the correct stationary residual).
-		r.arriveGroup(r.drawGroup(hold, int(c.Rate*c.Hold+0.5)))
-		if r.err != nil {
-			return nil, r.err
-		}
-		var pump func()
-		pump = func() {
-			wait, batch := arr.Next(r.src)
-			r.eng.Schedule(wait, func() {
-				if r.err != nil {
-					return
-				}
-				r.arriveGroup(r.drawGroup(hold, batch))
-				pump()
-			})
-		}
-		pump()
 	}
+	r.pull()
+	r.arriveGroup(r.takeGroup(0))
+	if r.err != nil {
+		return nil, r.err
+	}
+	r.pumpWorkload()
 	horizon := c.Warmup + c.Duration
 	r.eng.Run(horizon)
 	if r.err != nil {
@@ -750,7 +749,7 @@ func (r *runner) advance(to float64) {
 		r.occ[r.pop] += dt
 		lo = end
 	}
-	if r.wl != nil {
+	if r.phases != nil {
 		r.advancePhases(from, to)
 	}
 }
@@ -788,16 +787,6 @@ func (r *runner) arrive(a arrival) {
 		r.waiting = append(r.waiting, f)
 	}
 	r.eng.Schedule(a.hold, func() { r.depart(f) })
-}
-
-// drawGroup pre-draws n stationary arrivals (holding times in flow order,
-// the run-wide wire class) for one virtual instant.
-func (r *runner) drawGroup(hold sim.Holding, n int) []arrival {
-	g := make([]arrival, n)
-	for i := range g {
-		g[i] = arrival{hold: hold.Sample(r.src), tier: r.cfg.Class}
-	}
-	return g
 }
 
 // request issues one reservation attempt (or a retry burst) for f and
@@ -1260,7 +1249,7 @@ func (r *runner) finish() {
 	r.res.MeasuredMeanLoad, r.res.LoadSigma = ratio(r.popInt, r.time)
 	r.res.PeakLoad = r.peak
 	r.res.OccupancyWeights = append([]float64(nil), r.occ...)
-	if r.wl != nil {
+	if r.phases != nil {
 		r.finishPhases()
 	}
 }

@@ -86,7 +86,7 @@ func (r *runner) takeGroup(at float64) []arrival {
 }
 
 // pumpWorkload schedules the next arrival group off the stream lookahead;
-// each firing re-arms the pump, like the stationary Poisson pump.
+// each firing re-arms the pump.
 func (r *runner) pumpWorkload() {
 	if !r.wlOK {
 		return
@@ -116,7 +116,7 @@ func phaseSlice(ph *workload.Phase, t float64) int {
 // phaseFirst tallies one measured first attempt (and optionally its
 // denial) against the owning phase's slice accumulators.
 func (r *runner) phaseFirst(phase int, denied bool) {
-	if r.wl == nil {
+	if r.phases == nil {
 		return
 	}
 	ph := &r.cfg.Workload.Phases[phase]

@@ -86,6 +86,39 @@ func TestWorkloadBaselineBitForBit(t *testing.T) {
 	}
 }
 
+// TestStationaryBeyondSpecBounds: a stationary configuration outside the
+// workload grammar's size bounds — an arrival rate above MaxRate over a
+// horizon beyond MaxDuration — still runs: the harness compiles it into a
+// spec, but not under the limits meant for spec files.
+func TestStationaryBeyondSpecBounds(t *testing.T) {
+	util := utility.NewAdaptive()
+	for _, tc := range []struct {
+		name                string
+		rate, hold, horizon float64
+	}{
+		{"rate", 2 * workload.MaxRate, 3 / workload.MaxRate, 1e-6},
+		{"duration", 3 / workload.MaxDuration, workload.MaxDuration, 1000 * workload.MaxDuration},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(Config{
+				Server:   newServer(t, 8, util),
+				Capacity: 8,
+				Util:     util,
+				Rate:     tc.rate,
+				Hold:     tc.hold,
+				Duration: tc.horizon,
+				Seed1:    5, Seed2: 6,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Flows == 0 || res.Anomalies != 0 || res.FinalActive != 0 || res.Phases != nil {
+				t.Fatalf("flows %d, anomalies %d, final active %d, phases %v", res.Flows, res.Anomalies, res.FinalActive, res.Phases)
+			}
+		})
+	}
+}
+
 // TestWorkloadTraceMatchesSimAndLoadgen is the cross-consumer leg of the
 // golden-determinism contract: the simulator, the live harness, and a
 // directly instantiated stream must all consume the identical record

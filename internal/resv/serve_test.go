@@ -97,3 +97,33 @@ func TestServeFramesMidReadWriteFailure(t *testing.T) {
 		t.Fatalf("logs %q, want one failed-write line", h.logs)
 	}
 }
+
+// TestServeFramesLocalPipeCloseNotLogged: closing the server's own end of
+// an in-process pipe (how the in-process cluster shuts its peer links
+// down) is an orderly local close, like net.ErrClosed on a socket, and
+// must not be logged as an abnormal "closed:" event.
+func TestServeFramesLocalPipeCloseNotLogged(t *testing.T) {
+	cEnd, sEnd := net.Pipe()
+	defer cEnd.Close()
+	h := &recordingHandler{}
+	done := make(chan struct{})
+	go func() {
+		ServeFrames(sEnd, h)
+		close(done)
+	}()
+	if err := sEnd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("loop kept serving a closed pipe")
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, l := range h.logs {
+		if strings.Contains(l, "closed:") {
+			t.Fatalf("local pipe close logged as abnormal: %q", l)
+		}
+	}
+}

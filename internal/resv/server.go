@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"beqos/internal/obs"
@@ -31,15 +28,13 @@ import (
 //     unless the client refreshes them (Client.Refresh / Client.KeepAlive).
 //
 // The serving plane is built for throughput (DESIGN.md §8):
-//   - soft state is lock-striped across shards keyed by a hash of the
-//     flow ID, each with its own mutex, flow table, and TTL wheel; the
-//     stripe count autotunes from GOMAXPROCS (see shardCountFor);
+//   - soft state lives in a Table: lock-striped shards keyed by a hash of
+//     the flow ID, each with its own mutex, flow map, and TTL timing
+//     wheel, so a refresh is an O(1) relink and expiry work is
+//     proportional to the flows actually expiring;
 //   - the admission decision itself is a CAS on a single atomic counter,
 //     so concurrent reserves never over-admit and the reject path (and
 //     Active/Allocated/Stats) never takes a lock;
-//   - TTL expiry is a per-shard hierarchical timing wheel (wheel.go), so a
-//     refresh is an O(1) relink and expiry work is proportional to the
-//     flows actually expiring — not to all flows, as the old map sweep was;
 //   - frame I/O is batched per connection: one read can yield many
 //     requests, and their replies coalesce into one write (flush-on-idle).
 type Server struct {
@@ -50,16 +45,11 @@ type Server struct {
 	// accounting: a request for rate r is admitted iff allocated + r ≤ C.
 	byBandwidth bool
 
-	// epoch anchors the wheel's monotonic nanosecond clock; wheelRes is the
-	// level-0 tick width (TTL servers only).
-	epoch    time.Time
-	wheelRes int64
-
 	// pol owns the admission counters: reserve claims a slot through
 	// pol.Admit (the built-ins CAS a single atomic bounded by kmax or
 	// capacity, so racing clients can never over-admit and a full link is
-	// denied lock-free) and every departure path returns it via
-	// pol.Release. The server's soft state (shards, wheels, dedup) is
+	// denied lock-free) and every departure path returns it through the
+	// table's release funnel. The server's soft state (table, dedup) is
 	// policy-independent.
 	pol policy.Policy
 	// polClock records that pol implements policy.ClockUser and wants the
@@ -67,17 +57,9 @@ type Server struct {
 	// skip the per-request time read.
 	polClock bool
 
-	// epochSeq issues each installed flow a unique, monotonically
-	// increasing epoch, so a retransmitted reserve answered from the live
-	// entry is observably the same admission (not a second one) and a
-	// reincarnated flow ID is observably a different one.
-	epochSeq atomic.Uint64
-
-	// shards is the lock-striped soft state; the stripe count is a power
-	// of two chosen at construction from GOMAXPROCS, and shardShift is the
-	// matching hash shift (64 - log2(len(shards))).
-	shards     []shard
-	shardShift uint
+	// table is the soft state: every installed flow, keyed by flow ID and
+	// owned by its connection.
+	table *Table
 
 	// udpMu guards udpPeers, the datagram transport's per-source-address
 	// virtual connections (udp.go). A peer's inflight count is also
@@ -91,9 +73,6 @@ type Server struct {
 	// path. Registry serves them at /metrics.
 	reg     *obs.Registry
 	metrics *ServerMetrics
-
-	stop     chan struct{}
-	stopOnce sync.Once
 
 	// Logf, if non-nil, receives one line per protocol event; defaults to
 	// silent. Set before calling Serve.
@@ -120,18 +99,10 @@ const (
 	writeFlushThreshold = 16 * 1024
 
 	// wheelResDivisor sets the TTL wheel's resolution to ttl/256 (floored
-	// at 1ms, like the old sweeper's ticker, so pathological TTLs cannot
-	// busy-loop the expiry goroutine or panic time.NewTicker).
+	// at 1ms, so pathological TTLs cannot busy-loop the expiry goroutine
+	// or panic time.NewTicker).
 	wheelResDivisor = 256
 )
-
-// shard is one lock stripe of the soft-state tables.
-type shard struct {
-	mu      sync.Mutex
-	entries map[uint64]*entry
-	free    *entry // spent entry nodes, next-linked, reused by reserves
-	wheel   *wheel // TTL expiry index; nil when the server has no TTL
-}
 
 // conn tracks one client connection's reservations. Stream transports own
 // a net.Conn; datagram peers are virtual connections keyed by source
@@ -149,10 +120,9 @@ type conn struct {
 	// inflight counts reader goroutines mid-dispatch on this datagram
 	// peer; guarded by Server.udpMu.
 	inflight int
-	// mu guards flows: the handler goroutine adds and removes, the expiry
-	// goroutine removes (always with the flow's shard lock held first).
-	mu    sync.Mutex
-	flows map[uint64]struct{}
+	// owner is the set of flows the connection holds in the server's
+	// table, released when it departs.
+	owner Owner
 }
 
 // shardCountFor returns the soft-state stripe count for a machine with p
@@ -170,16 +140,6 @@ func shardCountFor(p int) int {
 		n <<= 1
 	}
 	return n
-}
-
-// shardFor picks a flow's stripe by Fibonacci-hashing its ID.
-func (s *Server) shardFor(id uint64) *shard {
-	return &s.shards[(id*0x9e3779b97f4a7c15)>>s.shardShift]
-}
-
-// now is the wheel clock: nanoseconds since the server's epoch.
-func (s *Server) now() int64 {
-	return int64(time.Since(s.epoch))
 }
 
 // NewServer returns an admission controller for a link of the given
@@ -258,41 +218,24 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 		ttl:         ttl,
 		byBandwidth: pol.Mode() == policy.ModeBandwidth,
 		pol:         pol,
-		epoch:       time.Now(),
-		stop:        make(chan struct{}),
 		reg:         obs.New(),
 	}
 	if cu, ok := pol.(policy.ClockUser); ok && cu.NeedsClock() {
 		s.polClock = true
 	}
-	nshards := shardCountFor(runtime.GOMAXPROCS(0))
-	s.shards = make([]shard, nshards)
-	s.shardShift = uint(64 - bits.TrailingZeros(uint(nshards)))
 	s.metrics = newServerMetrics(s.reg)
+	s.table = NewTable(ttl, []policy.Policy{pol}, 64, s.metrics.Expiries, s.expired)
 	s.reg.GaugeFunc("resv_active_flows", "live reservations", func() float64 {
 		return float64(s.pol.Active())
 	})
 	s.reg.GaugeFunc("resv_allocated", "granted rate sum (bandwidth mode) or active count", s.Allocated)
 	s.reg.GaugeFunc("resv_capacity", "link capacity C", func() float64 { return s.capacity })
 	s.reg.GaugeFunc("resv_kmax", "admission threshold kmax(C)", func() float64 { return float64(s.kmax) })
-	s.reg.GaugeFunc("resv_shards", "soft-state lock stripes", func() float64 { return float64(len(s.shards)) })
+	s.reg.GaugeFunc("resv_shards", "soft-state lock stripes", func() float64 { return float64(s.Shards()) })
 	if inst, ok := pol.(policy.Instrumented); ok {
 		for _, g := range inst.Gauges() {
 			s.reg.GaugeFunc("resv_policy_"+g.Name, g.Help, g.Value)
 		}
-	}
-	for i := range s.shards {
-		s.shards[i].entries = make(map[uint64]*entry)
-	}
-	if ttl > 0 {
-		s.wheelRes = int64(ttl) / wheelResDivisor
-		if s.wheelRes < int64(time.Millisecond) {
-			s.wheelRes = int64(time.Millisecond)
-		}
-		for i := range s.shards {
-			s.shards[i].wheel = newWheel(s.wheelRes)
-		}
-		go s.expireLoop()
 	}
 	return s, nil
 }
@@ -317,7 +260,7 @@ func (s *Server) Policy() policy.Policy { return s.pol }
 // default policies' hot path never pays a time read.
 func (s *Server) polNow() int64 {
 	if s.polClock {
-		return s.now()
+		return s.table.Now()
 	}
 	return 0
 }
@@ -334,7 +277,7 @@ func (s *Server) TTL() time.Duration { return s.ttl }
 // Shards returns the lock-stripe width of the soft-state tables — the
 // runtime-chosen count (shardCountFor of GOMAXPROCS at construction), the
 // same value the resv_shards gauge reports.
-func (s *Server) Shards() int { return len(s.shards) }
+func (s *Server) Shards() int { return len(s.table.shards) }
 
 // Metrics returns the server's instrument set. Counters may be read at
 // any time (atomic loads); they are updated with per-batch granularity.
@@ -347,38 +290,17 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Close stops the soft-state expiry goroutine (if any). It does not close
 // client connections or the listener.
 func (s *Server) Close() {
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.table.Close()
 }
 
-// expireLoop drives every shard's timing wheel at the wheel resolution.
-// Per tick it does work proportional to the flows actually expiring, plus
-// one O(1) bucket visit per shard — never a scan of all flows.
-func (s *Server) expireLoop() {
-	tick := time.NewTicker(time.Duration(s.wheelRes))
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			now := s.now()
-			for i := range s.shards {
-				sh := &s.shards[i]
-				sh.mu.Lock()
-				sh.wheel.advance(now, func(e *entry) {
-					id := e.id
-					s.removeLocked(sh, e, false)
-					s.metrics.Expiries.Inc()
-					if s.Trace != nil {
-						s.Trace(TraceEvent{Kind: TraceExpire, FlowID: id, Active: s.pol.Active()})
-					}
-					if s.Logf != nil {
-						s.logf("resv: expired flow %d (active %d)", id, s.pol.Active())
-					}
-				})
-				sh.mu.Unlock()
-			}
-		}
+// expired is the table's expiry hook: the flow's slot is already back
+// with the policy, and counted.
+func (s *Server) expired(id uint64, _ any) {
+	if s.Trace != nil {
+		s.Trace(TraceEvent{Kind: TraceExpire, FlowID: id, Active: s.pol.Active()})
+	}
+	if s.Logf != nil {
+		s.logf("resv: expired flow %d (active %d)", id, s.pol.Active())
 	}
 }
 
@@ -409,7 +331,7 @@ func (s *Server) logf(format string, args ...interface{}) {
 // handle serves one stream connection through the shared frame loop and
 // releases its reservations when the loop returns.
 func (s *Server) handle(nc net.Conn) {
-	h := &streamConn{s: s, conn: conn{nc: nc, flows: make(map[uint64]struct{})}}
+	h := &streamConn{s: s, conn: conn{nc: nc}}
 	defer s.release(&h.conn)
 	s.metrics.Connections.Inc()
 	defer s.metrics.Connections.Dec()
@@ -483,10 +405,11 @@ func ServeFrames(nc net.Conn, h FrameHandler) {
 		// Block until at least one full frame is buffered.
 		if _, err := br.Peek(FrameSize); err != nil {
 			// io.EOF with an empty buffer is an orderly close from the
-			// peer and net.ErrClosed a local shutdown — neither is an
-			// error. Anything else (including a connection cut mid-frame,
-			// leaving a partial frame buffered) is logged.
-			if !(errors.Is(err, io.EOF) && br.Buffered() == 0) && !errors.Is(err, net.ErrClosed) {
+			// peer, and net.ErrClosed (io.ErrClosedPipe on a net.Pipe) a
+			// local shutdown — neither is an error. Anything else
+			// (including a connection cut mid-frame, leaving a partial
+			// frame buffered) is logged.
+			if !(errors.Is(err, io.EOF) && br.Buffered() == 0) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 				h.Logf("connection %v closed: %v", nc.RemoteAddr(), err)
 			}
 			return
@@ -662,7 +585,7 @@ func (s *Server) reserveRun(c *conn, run []Frame, base int, verdict *BatchVerdic
 	installed := 0
 	for i := 0; i < granted; i++ {
 		f := run[i]
-		if st := s.install(c, f.FlowID, rate); st.kind != installedNew {
+		if _, _, ok := s.table.Install(f.FlowID, &c.owner, rate, nil); !ok {
 			s.pol.Release(s.polNow(), rate) // roll this op's claim back
 			bs.errs++
 			if s.Trace != nil {
@@ -716,8 +639,8 @@ func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
 		// (grant lost, client re-sent). Only the deny path pays the shard
 		// lookup; fresh admissions stay lock-free in the policy.
 		if c.datagram {
-			if st := s.lookupOwn(c, f.FlowID); st.kind == dupOwnConn {
-				return s.duplicate(c, f, st, s.pol.Share(st.rate))
+			if o, liveRate, ok := s.table.Lookup(f.FlowID); ok && o == &c.owner {
+				return s.duplicate(c, f, true, s.pol.Share(liveRate))
 			}
 		}
 		if s.Trace != nil {
@@ -736,12 +659,12 @@ func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
 	if s.byBandwidth {
 		rate = f.Value
 	}
-	if st := s.install(c, f.FlowID, rate); st.kind != installedNew {
+	if o, liveRate, ok := s.table.Install(f.FlowID, &c.owner, rate, nil); !ok {
 		s.pol.Release(s.polNow(), rate) // roll the claimed admission back
 		// A retransmit is answered with what the original admission
 		// granted (its stored rate, or the worst-case share), which need
 		// not equal this request's.
-		return s.duplicate(c, f, st, s.pol.Share(st.rate))
+		return s.duplicate(c, f, o == &c.owner, s.pol.Share(liveRate))
 	}
 	// In count mode the grant carries the guaranteed worst-case share
 	// C/kmax — the instantaneous share C/min(k, kmax) would be stale the
@@ -760,15 +683,14 @@ func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
 	return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: dec.Share}, false
 }
 
-// duplicate resolves a reserve that found its flow ID already installed,
-// after the caller rolled back the claimed slot/rate. On a datagram
-// connection whose own live flow it is, the reserve is a client
-// retransmit whose grant was lost in flight: re-send the grant — the
-// entry's epoch ties the reply to the original admission, so the
-// retransmit can never double-admit. Everything else is a genuine
-// duplicate-flow error.
-func (s *Server) duplicate(c *conn, f Frame, st installStatus, value float64) (Frame, bool) {
-	if c.datagram && st.kind == dupOwnConn {
+// duplicate resolves a reserve that found its flow ID already installed
+// (own: by this very connection), after the caller rolled back the claimed
+// slot/rate. On a datagram connection whose own live flow it is, the
+// reserve is a client retransmit whose grant was lost in flight: re-send
+// the grant out of the live entry, so the retransmit can never
+// double-admit. Everything else is a genuine duplicate-flow error.
+func (s *Server) duplicate(c *conn, f Frame, own bool, value float64) (Frame, bool) {
+	if c.datagram && own {
 		if s.Trace != nil {
 			s.Trace(TraceEvent{Kind: TraceGrant, FlowID: f.FlowID, Value: value, Active: s.pol.Active()})
 		}
@@ -783,103 +705,10 @@ func (s *Server) duplicate(c *conn, f Frame, st installStatus, value float64) (F
 	return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeDuplicateFlow)}, false
 }
 
-// installStatus is install's verdict: the flow was installed, or the ID
-// was already taken — by this very connection (a datagram retransmit
-// candidate, with the live grant's rate) or by some other owner.
-type installStatus struct {
-	kind int8 // one of installedNew/dupOwnConn/dupOtherConn
-	rate float64
-}
-
-const (
-	installedNew int8 = iota
-	dupOwnConn
-	dupOtherConn
-)
-
-// lookupOwn reports whether id is already installed, and by whom, without
-// touching any state: installedNew means no live entry. Used by the deny
-// paths to recognize a datagram retransmit of the admission that filled
-// the link.
-func (s *Server) lookupOwn(c *conn, id uint64) installStatus {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	st := installStatus{kind: installedNew}
-	if e, ok := sh.entries[id]; ok {
-		st.kind = dupOtherConn
-		if e.owner == c {
-			st = installStatus{kind: dupOwnConn, rate: e.rate}
-		}
-	}
-	sh.mu.Unlock()
-	return st
-}
-
-// install records an admitted flow in its shard (and TTL wheel) and on its
-// owning connection. On a duplicate flow ID it leaves all state untouched
-// and reports who owns the live entry (the caller rolls back its claim and
-// decides between a retransmit re-grant and a duplicate error).
-func (s *Server) install(c *conn, id uint64, rate float64) installStatus {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if e, dup := sh.entries[id]; dup {
-		st := installStatus{kind: dupOtherConn}
-		if e.owner == c {
-			st = installStatus{kind: dupOwnConn, rate: e.rate}
-		}
-		sh.mu.Unlock()
-		return st
-	}
-	e := sh.free
-	if e != nil {
-		sh.free = e.next
-		e.next = nil
-	} else {
-		e = new(entry)
-	}
-	e.id, e.owner, e.rate = id, c, rate
-	e.epoch = s.epochSeq.Add(1)
-	sh.entries[id] = e
-	if sh.wheel != nil {
-		e.deadline = s.now() + int64(s.ttl)
-		sh.wheel.insert(e)
-	}
-	c.mu.Lock()
-	c.flows[id] = struct{}{}
-	c.mu.Unlock()
-	sh.mu.Unlock()
-	return installStatus{kind: installedNew}
-}
-
-// removeLocked unrecords a flow: wheel, flow table, owning connection, and
-// the policy's claim (rate and active count). Callers hold sh.mu; when the
-// entry is being expired by the wheel (wheelLinked = false) it is already
-// unlinked.
-func (s *Server) removeLocked(sh *shard, e *entry, wheelLinked bool) {
-	if wheelLinked && sh.wheel != nil {
-		e.unlink()
-	}
-	delete(sh.entries, e.id)
-	c := e.owner
-	c.mu.Lock()
-	delete(c.flows, e.id)
-	c.mu.Unlock()
-	s.pol.Release(s.polNow(), e.rate)
-	e.owner = nil
-	e.next = sh.free
-	sh.free = e
-}
-
 func (s *Server) teardown(c *conn, f Frame) Frame {
-	sh := s.shardFor(f.FlowID)
-	sh.mu.Lock()
-	e, ok := sh.entries[f.FlowID]
-	if !ok || e.owner != c {
-		sh.mu.Unlock()
+	if !s.table.Remove(f.FlowID, &c.owner) {
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
-	s.removeLocked(sh, e, true)
-	sh.mu.Unlock()
 	active := s.pol.Active()
 	if s.Trace != nil {
 		s.Trace(TraceEvent{Kind: TraceTeardown, FlowID: f.FlowID, Active: active})
@@ -890,22 +719,11 @@ func (s *Server) teardown(c *conn, f Frame) Frame {
 	return Frame{Type: MsgTeardownOK, FlowID: f.FlowID, Value: float64(active)}
 }
 
-// refresh renews a reservation's soft-state deadline: an O(1) relink into
-// the wheel bucket owning the new deadline.
+// refresh renews a reservation's soft-state deadline.
 func (s *Server) refresh(c *conn, f Frame) Frame {
-	sh := s.shardFor(f.FlowID)
-	sh.mu.Lock()
-	e, ok := sh.entries[f.FlowID]
-	if !ok || e.owner != c {
-		sh.mu.Unlock()
+	if !s.table.Refresh(f.FlowID, &c.owner) {
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
-	if sh.wheel != nil {
-		e.unlink()
-		e.deadline = s.now() + int64(s.ttl)
-		sh.wheel.insert(e)
-	}
-	sh.mu.Unlock()
 	if s.Trace != nil {
 		s.Trace(TraceEvent{Kind: TraceRefresh, FlowID: f.FlowID, Value: s.ttl.Seconds(), Active: s.pol.Active()})
 	}
@@ -915,28 +733,13 @@ func (s *Server) refresh(c *conn, f Frame) Frame {
 // release frees every reservation held by a departing connection.
 func (s *Server) release(c *conn) {
 	_ = c.nc.Close()
-	c.mu.Lock()
-	ids := make([]uint64, 0, len(c.flows))
-	for id := range c.flows {
-		ids = append(ids, id)
-	}
-	c.mu.Unlock()
-	n := 0
-	for _, id := range ids {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		// The flow may have expired or been torn down since the snapshot;
-		// only entries still owned by this connection are released.
-		if e, ok := sh.entries[id]; ok && e.owner == c {
-			s.removeLocked(sh, e, true)
-			n++
-			if s.Trace != nil {
-				s.Trace(TraceEvent{Kind: TraceRelease, FlowID: id, Active: s.pol.Active()})
-			}
+	var trace func(id uint64)
+	if s.Trace != nil {
+		trace = func(id uint64) {
+			s.Trace(TraceEvent{Kind: TraceRelease, FlowID: id, Active: s.pol.Active()})
 		}
-		sh.mu.Unlock()
 	}
-	if n > 0 {
+	if n := s.table.Drain(&c.owner, trace); n > 0 {
 		s.metrics.Releases.Add(uint64(n))
 		s.logf("resv: released %d reservations from %v", n, c.nc.RemoteAddr())
 	}

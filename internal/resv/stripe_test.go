@@ -190,7 +190,7 @@ func TestShardDistribution(t *testing.T) {
 	ids := uint64(64 * nshards)
 	seen := make(map[*shard]int)
 	for id := uint64(1); id <= ids; id++ {
-		seen[s.shardFor(id)]++
+		seen[s.table.shardFor(id)]++
 	}
 	if len(seen) != nshards {
 		t.Fatalf("sequential IDs hit %d of %d shards", len(seen), nshards)

@@ -119,7 +119,7 @@ func (s *Server) acquireUDPPeer(addr net.Addr) (string, *conn) {
 	s.udpMu.Lock()
 	c := s.udpPeers[key]
 	if c == nil {
-		c = &conn{datagram: true, raddr: addr, flows: make(map[uint64]struct{})}
+		c = &conn{datagram: true, raddr: addr}
 		if s.udpPeers == nil {
 			s.udpPeers = make(map[string]*conn)
 		}
@@ -137,14 +137,9 @@ func (s *Server) acquireUDPPeer(addr net.Addr) (string, *conn) {
 func (s *Server) releaseUDPPeer(key string, c *conn) {
 	s.udpMu.Lock()
 	c.inflight--
-	if c.inflight == 0 {
-		c.mu.Lock()
-		idle := len(c.flows) == 0
-		c.mu.Unlock()
-		if idle {
-			delete(s.udpPeers, key)
-			s.metrics.UDPPeers.Dec()
-		}
+	if c.inflight == 0 && c.owner.Len() == 0 {
+		delete(s.udpPeers, key)
+		s.metrics.UDPPeers.Dec()
 	}
 	s.udpMu.Unlock()
 }

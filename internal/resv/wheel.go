@@ -1,11 +1,11 @@
 package resv
 
 // The soft-state expiry index: a two-level hierarchical timing wheel, one
-// per shard. The old design swept the entire expiry map on a ticker —
-// O(flows) per tick whether or not anything was due. The wheel keeps every
-// TTL deadline in a bucket keyed by its deadline tick, so a refresh is an
-// O(1) unlink + relink and an advance only touches entries that actually
-// expire (plus one coarse-bucket cascade every wheelSlots ticks).
+// per Table shard. The wheel keeps every TTL deadline in a bucket keyed by
+// its deadline tick, so a refresh is an O(1) unlink + relink and an
+// advance only touches entries that actually expire (plus one
+// coarse-bucket cascade every wheelSlots ticks) — never a scan of all
+// entries.
 //
 // Level 0 buckets are one resolution tick wide and cover the next
 // wheelSlots ticks; level 1 buckets are wheelSlots ticks wide and cover
@@ -20,19 +20,17 @@ const (
 	wheelMask  = wheelSlots - 1
 )
 
-// entry is one reservation's soft state: the value of its shard's flow
-// table and, on TTL servers, an intrusive node in the shard's timing wheel.
+// entry is one live soft-state claim: the value of its Table shard's map
+// and, on TTL tables, an intrusive node in the shard's timing wheel.
 type entry struct {
 	id    uint64
-	owner *conn
-	rate  float64 // granted rate (bandwidth mode; 0 in flow-count mode)
-	// epoch is the admission's unique sequence number (Server.epochSeq):
-	// a retransmitted reserve answered from this entry is the SAME
-	// admission (same epoch), while a reserve that reincarnates a torn
-	// down or expired flow ID installs a fresh entry with a new epoch.
-	epoch uint64
-	// deadline is the soft-state expiry instant in nanoseconds since the
-	// server's epoch; meaningful only on TTL servers.
+	owner *Owner  // the connection holding the claim; nil for none
+	rate  float64 // the rate returned to the policy on release
+	// ref is the caller's handle on the claim, passed back to the
+	// table's expiry hook (nil for plain policy claims).
+	ref any
+	// deadline is the soft-state expiry instant in nanoseconds of the
+	// table's clock; meaningful only on TTL tables.
 	deadline int64
 	// next/prev link the entry into a wheel bucket (circular, sentinel
 	// headed). Freed entries reuse next as the shard free-list link.

@@ -29,7 +29,16 @@ import (
 // scenario-level directives (prefill, warmup, class) must precede the
 // first phase; arrivals/holding/event attach to the most recent phase.
 // Errors name the offending line.
-func Parse(text string) (*Scenario, error) {
+func Parse(text string) (*Scenario, error) { return parse(text, true) }
+
+// ParseUnbounded is Parse without the size bounds (MaxPrefill,
+// MaxDuration, MaxRate, MaxPhaseArrivals, MaxMMPPSwitches), for specs a
+// program compiles from values it has validated itself rather than read
+// from a file.
+func ParseUnbounded(text string) (*Scenario, error) { return parse(text, false) }
+
+// parse reads a spec, enforcing the size bounds when bounded.
+func parse(text string, bounded bool) (*Scenario, error) {
 	s := &Scenario{}
 	var cur *Phase
 	classNames := map[string]bool{}
@@ -66,7 +75,7 @@ func Parse(text string) (*Scenario, error) {
 				return nil, specErr(lineNo, "usage: prefill <n>")
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 || n > MaxPrefill {
+			if err != nil || n < 0 || bounded && n > MaxPrefill {
 				return nil, specErr(lineNo, "prefill %q must be an integer in [0, %d]", fields[1], MaxPrefill)
 			}
 			s.Prefill = n
@@ -79,7 +88,7 @@ func Parse(text string) (*Scenario, error) {
 				return nil, specErr(lineNo, "usage: warmup <t>")
 			}
 			w, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || !(w >= 0) || w > MaxDuration {
+			if err != nil || !(w >= 0) || bounded && w > MaxDuration {
 				return nil, specErr(lineNo, "warmup %q must be a number in [0, %g]", fields[1], float64(MaxDuration))
 			}
 			s.Warmup = w
@@ -139,7 +148,7 @@ func Parse(text string) (*Scenario, error) {
 			}
 			phaseNames[name] = true
 			d, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil || !(d > 0) || d > MaxDuration {
+			if err != nil || !(d > 0) || bounded && d > MaxDuration {
 				return nil, specErr(lineNo, "phase %s duration %q must be a number in (0, %g]", name, fields[2], float64(MaxDuration))
 			}
 			s.Phases = append(s.Phases, Phase{Name: name, Duration: d})
@@ -161,7 +170,7 @@ func Parse(text string) (*Scenario, error) {
 			}
 			a := ArrivalSpec{Kind: fields[1]}
 			rate, ok := kv.take("rate")
-			if !ok || !(rate > 0) || rate > MaxRate {
+			if !ok || !(rate > 0) || bounded && rate > MaxRate {
 				return nil, specErr(lineNo, "arrivals %s needs rate= in (0, %g]", a.Kind, float64(MaxRate))
 			}
 			a.Rate = rate
@@ -174,7 +183,7 @@ func Parse(text string) (*Scenario, error) {
 				}
 				a.Burst = b
 				sj, ok := kv.take("sojourn")
-				if !ok || !(sj > 0) || sj > MaxDuration {
+				if !ok || !(sj > 0) || bounded && sj > MaxDuration {
 					return nil, specErr(lineNo, "arrivals mmpp needs sojourn= in (0, %g] (mean state sojourn)", float64(MaxDuration))
 				}
 				a.Sojourn = sj
@@ -208,7 +217,7 @@ func Parse(text string) (*Scenario, error) {
 			}
 			h := HoldSpec{Kind: fields[1]}
 			mean, ok := kv.take("mean")
-			if !ok || !(mean > 0) || mean > MaxDuration {
+			if !ok || !(mean > 0) || bounded && mean > MaxDuration {
 				return nil, specErr(lineNo, "holding %s needs mean= in (0, %g]", h.Kind, float64(MaxDuration))
 			}
 			h.Mean = mean
@@ -274,7 +283,7 @@ func Parse(text string) (*Scenario, error) {
 					return nil, specErr(lineNo, "phase %s already has a sine event", cur.Name)
 				}
 				p, ok := kv.take("period")
-				if !ok || !(p > 0) || p > MaxDuration {
+				if !ok || !(p > 0) || bounded && p > MaxDuration {
 					return nil, specErr(lineNo, "event sine needs period= in (0, %g]", float64(MaxDuration))
 				}
 				ev.Period = p
@@ -298,7 +307,7 @@ func Parse(text string) (*Scenario, error) {
 	if s.Name == "" {
 		return nil, fmt.Errorf("workload: empty spec (no scenario directive)")
 	}
-	if err := s.validate(); err != nil {
+	if err := s.validate(bounded); err != nil {
 		return nil, err
 	}
 	return s, nil

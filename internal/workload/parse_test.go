@@ -203,3 +203,23 @@ func TestEventMult(t *testing.T) {
 		t.Fatalf("nextEdge(16.5) = %g, want phase end 18", e)
 	}
 }
+
+// TestParseUnboundedLiftsSizeBounds: specs beyond the size bounds that
+// Parse rejects parse unbounded with their values intact, while every
+// other check still applies.
+func TestParseUnboundedLiftsSizeBounds(t *testing.T) {
+	big := "scenario big\nprefill 99999999\nwarmup 2e9\nphase p 3e9\narrivals poisson rate=2e9\nholding exp mean=2e9\n"
+	if _, err := Parse(big); err == nil {
+		t.Fatal("Parse accepted a spec beyond the size bounds")
+	}
+	s, err := ParseUnbounded(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Prefill != 99999999 || s.Warmup != 2e9 || s.Duration() != 3e9 || s.Phases[0].Arrivals.Rate != 2e9 || s.Phases[0].Holding.Mean != 2e9 {
+		t.Fatalf("values not kept: %+v", s)
+	}
+	if _, err := ParseUnbounded("scenario big\nprefill -1\nphase p 1\narrivals poisson rate=1\nholding exp mean=1\n"); err == nil {
+		t.Fatal("ParseUnbounded accepted a negative prefill")
+	}
+}

@@ -233,9 +233,9 @@ func (s *Scenario) Stationary() (mean float64, ok bool) {
 }
 
 // validate runs the whole-scenario checks Parse defers until the spec is
-// fully read, and computes the derived fields (phase starts, holding
-// parameters, event edges).
-func (s *Scenario) validate() error {
+// fully read (the size bounds only when bounded), and computes the derived
+// fields (phase starts, holding parameters, event edges).
+func (s *Scenario) validate(bounded bool) error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("workload: scenario %q declares no phases", s.Name)
 	}
@@ -259,13 +259,13 @@ func (s *Scenario) validate() error {
 		if p.Sine != nil {
 			peak *= 1 + p.Sine.Depth
 		}
-		if peak > MaxRate {
+		if bounded && peak > MaxRate {
 			return fmt.Errorf("workload: phase %q peak rate %g exceeds %g", p.Name, peak, float64(MaxRate))
 		}
-		if peak*p.Duration > MaxPhaseArrivals {
+		if bounded && peak*p.Duration > MaxPhaseArrivals {
 			return fmt.Errorf("workload: phase %q expects %g arrivals (peak rate × duration); cap %g", p.Name, peak*p.Duration, float64(MaxPhaseArrivals))
 		}
-		if p.Arrivals.Kind == "mmpp" && p.Duration/p.Arrivals.Sojourn > MaxMMPPSwitches {
+		if bounded && p.Arrivals.Kind == "mmpp" && p.Duration/p.Arrivals.Sojourn > MaxMMPPSwitches {
 			return fmt.Errorf("workload: phase %q expects %g MMPP state switches (duration/sojourn); cap %g", p.Name, p.Duration/p.Arrivals.Sojourn, float64(MaxMMPPSwitches))
 		}
 		p.Start = start
@@ -273,7 +273,7 @@ func (s *Scenario) validate() error {
 		p.finalize()
 	}
 	s.total = start
-	if !(s.total > 0) || s.total > MaxPhases*MaxDuration {
+	if !(s.total > 0) || bounded && s.total > MaxPhases*MaxDuration {
 		return fmt.Errorf("workload: scenario duration %g out of range", s.total)
 	}
 	if s.Warmup >= s.total {
