@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"beqos/internal/resv"
 )
 
 // TestClusterBatchLifecycle walks a batched path reservation end to end on
@@ -234,6 +237,32 @@ func TestClusterBatchOwnerKilled(t *testing.T) {
 	}
 	if f := cl.Node(0).Metrics().ForwardErrors.Load(); f == 0 {
 		t.Error("no forward errors recorded against the dead owner")
+	}
+}
+
+// TestClosedNodeServesNoLateConn: a connection handler that starts after
+// Close — the in-process cluster spawns its peer handlers with go, so one
+// may start late — closes the connection instead of serving it. A late
+// peer handler on a killed owner used to grant hops through it.
+func TestClosedNodeServesNoLateConn(t *testing.T) {
+	cl := startCluster(t, sharedSpec, Config{AntiEntropy: -1})
+	n := cl.Node(2)
+	cl.Kill(2)
+	for _, handle := range []func(net.Conn){n.HandlePeerConn, n.HandleClientConn} {
+		a, b := net.Pipe()
+		done := make(chan struct{})
+		go func() { handle(b); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			a.Close()
+			<-done
+			t.Fatal("a closed node served a connection handed to it after Close")
+		}
+		if _, err := a.Write(make([]byte, resv.FrameSize)); err == nil {
+			t.Error("a connection handed to a closed node is still open")
+		}
+		a.Close()
 	}
 }
 
